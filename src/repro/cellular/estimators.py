@@ -2,15 +2,15 @@
 
 The ABC router records one ``(timestamp, bytes)`` sample per packet on both
 the enqueue and the dequeue side and queries the sliding-window rate once per
-departing packet (Eq. 2's ``cr(t)`` denominator).  The scalar fast-path
-implementation (:class:`repro.simulator.estimators.BatchedRateEstimator`)
-already defers expiry to the query, but both its sample storage and its
-expiry walk stay element-at-a-time Python.
+departing packet (Eq. 2's ``cr(t)`` denominator).  The reference
+:class:`repro.simulator.estimators.WindowedRateEstimator` expires samples
+from a deque on every ``add``, element at a time.
 
-:class:`VectorRateEstimator` keeps the same *hot-write* representation —
-plain Python list tails named ``_times``/``_sizes`` plus an integer
-``_total``, so the router's inlined per-packet append sites work on it
-unchanged — and **folds** the tail into flat numpy arrays once it reaches
+:class:`VectorRateEstimator` defers expiry to the query and keeps a
+*hot-write* representation — plain Python list tails named
+``_times``/``_sizes`` plus an integer ``_total``, so the router's inlined
+per-packet append sites are two list appends and an integer add — and
+**folds** the tail into flat numpy arrays once it reaches
 :attr:`VectorRateEstimator._FOLD` samples (roughly one fold per measurement
 interval at the router's packet rates).  After a fold, window expiry over the
 folded region is a single ``searchsorted`` plus one prefix-sum difference
@@ -18,15 +18,16 @@ instead of a Python loop, and the expired prefix is trimmed wholesale.
 
 Bit-for-bit contract
 --------------------
-The returned rate is **bit-identical** to both scalar estimators for any
-time-ordered interleaving of ``add``/``rate_bps`` calls:
+The returned rate is **bit-identical** to the windowed deque estimator's
+for any time-ordered interleaving of ``add``/``rate_bps`` calls:
 
 * byte accounting is integer arithmetic end to end — the prefix-sum
   difference over ``int64`` equals the sequential Python additions exactly;
 * ``searchsorted(..., side="left")`` stops at the first sample with
-  ``time >= cutoff``, exactly where the scalar ``while times[i] < cutoff``
-  loop stops;
-* the span expression is copied verbatim from the scalar implementation.
+  ``time >= cutoff``, exactly where the deque's ``while samples[0][0] <
+  cutoff`` expiry stops;
+* the span is ``min(window, max(now - first, 0.0))`` with the same
+  zero-span fallback to the full window.
 
 ``tests/test_vector_estimator.py`` pins the equivalence differentially.
 """
@@ -39,10 +40,11 @@ import numpy as np
 
 
 class VectorRateEstimator:
-    """Numpy-folded drop-in for :class:`BatchedRateEstimator`.
+    """Numpy-folded, deferred-expiry counterpart of
+    :class:`~repro.simulator.estimators.WindowedRateEstimator`.
 
-    Samples append to plain list tails (``_times``/``_sizes``) exactly like
-    the scalar fast-path estimator; :meth:`rate_bps` folds a long-enough tail
+    Samples append to plain list tails (``_times``/``_sizes``) with no
+    per-add expiry work; :meth:`rate_bps` folds a long-enough tail
     into sorted ``float64``/prefix-sum ``int64`` arrays and thereafter
     expires whole spans of samples per query with C-level ``searchsorted``.
     The head timestamp of the live folded region is cached as a Python float
@@ -99,7 +101,7 @@ class VectorRateEstimator:
         new_times = np.asarray(times, dtype=np.float64)
         # Prefix sums over int64 are exact for any realistic byte volume
         # (~9e18 byte headroom), so the expiry arithmetic below reproduces
-        # the scalar estimator's Python-int additions bit for bit.
+        # the windowed estimator's Python-int additions bit for bit.
         new_cum = np.concatenate(
             (np.zeros(1, dtype=np.int64),
              np.cumsum(np.asarray(sizes, dtype=np.int64))))
@@ -129,7 +131,7 @@ class VectorRateEstimator:
         if fhead is not None and fhead < cutoff:
             ftimes = self._ftimes
             # side="left": first index with ftimes[i] >= cutoff — exactly
-            # where the scalar `while times[i] < cutoff` walk stops.
+            # where the tail's `while times[i] < cutoff` walk stops.
             new = int(ftimes.searchsorted(cutoff, side="left"))
             fstart = self._fstart
             if new > fstart:
@@ -143,7 +145,7 @@ class VectorRateEstimator:
                 self._fhead = None
         if fhead is None:
             # Folded region empty or fully expired: expire the tail with the
-            # scalar walk (verbatim from BatchedRateEstimator).
+            # scalar walk.
             times = self._times
             start = self._tstart
             n = len(times)

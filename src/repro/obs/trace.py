@@ -120,14 +120,14 @@ def sweep_trace_events(job_records: List[Dict[str, Any]]
     """Per-worker job timeline from an executor's (or manifest's) records.
 
     Each record needs ``label``, ``pid``, ``start_unix`` and ``wall_seconds``
-    (what :class:`~repro.runtime.executor.SweepExecutor` collects when
-    observing); timestamps are re-based to the earliest job start.
+    (what :class:`~repro.runtime.executor.SweepExecutor` collects for every
+    attempt); timestamps are re-based to the earliest job start.
 
-    Resilient runs tag records with ``attempt``/``outcome``; each retried
-    attempt renders as its own span (``label [attempt N]``) in a distinct
-    category per outcome (``retry``/``timeout``/``worker_crash``), so a
-    chaos run's timeline shows exactly which cells were retried, where, and
-    why.  Records whose worker pid was never learned (a crash before the
+    Records carry ``attempt``/``outcome`` (older manifests may not); each
+    retried attempt renders as its own span (``label [attempt N]``) in a
+    distinct category per outcome (``retry``/``timeout``/``worker_crash``),
+    so a chaos run's timeline shows exactly which cells were retried, where,
+    and why.  Records whose worker pid was never learned (a crash before the
     attempt announced itself) land on a dedicated ``unattributed`` row.
     """
     records = [r for r in job_records if r.get("start_unix") is not None]

@@ -1,75 +1,29 @@
 """Parallel sweep execution with deterministic, cache-backed results.
 
-The experiment sweeps in this repository (Figs. 8/9/15/16/18, Table 1, the
-WiFi and coexistence grids) are embarrassingly parallel: every (scheme,
-trace, seed, overrides) cell is an independent single-process simulation.
-:class:`SweepExecutor` fans a list of :class:`SweepJob`\\ s out over a
-``multiprocessing`` pool, falls back to in-process serial execution when one
-worker is requested, and memoizes completed cells through
-:class:`~repro.runtime.cache.ResultCache`.
+:class:`SweepExecutor` runs independent sweep cells (:class:`SweepJob`)
+in-process or on a ``multiprocessing`` pool (persistent when the executor is
+used as a context manager, its workers primed with the traces the jobs
+reference) and memoizes them in a :class:`~repro.runtime.cache.ResultCache`.
+Results come back in submission order, bit-identical whether run serially,
+in parallel, on a reused pool or from the cache; under fault injection
+(:mod:`repro.runtime.faults`) the failure records are too.
 
-Determinism contract
---------------------
-Results are returned in job-submission order and each job runs in its own
-simulator instance with explicit seeds, so the returned metrics are
-bit-for-bit identical whether a sweep runs serially, in parallel, on a
-reused pool, or is replayed from the cache.
-``tests/test_runtime_executor.py`` enforces this; with fault injection
-active, ``tests/test_runtime_faults.py`` extends it to the failure records.
-
-Worker selection
-----------------
-``SweepExecutor(jobs=N)`` wins over the ``REPRO_JOBS`` environment variable,
-which wins over the serial default (1).  ``0`` or ``"auto"`` means one worker
-per CPU.  Job *functions* must be module-level callables and their kwargs
-picklable, because parallel workers receive them by reference.
-
-Pool reuse
-----------
-By default every :meth:`SweepExecutor.run` call spins up (and tears down) its
-own pool, which costs ~1 s of worker start-up — enough to swamp the
-parallel win on small grids.  Used as a context manager the executor keeps
-one pool alive across ``run()`` calls::
-
-    with SweepExecutor(jobs=4) as executor:
-        first = spec_a.run(executor)    # pool starts here
-        second = spec_b.run(executor)   # pool reused, no spin-up
-
-Workers are primed with the shared trace store
-(:mod:`repro.runtime.trace_store`) when the pool starts, so job kwargs carry
-tiny :class:`~repro.runtime.trace_store.TraceRef` handles instead of pickling
-every trace into every cell.  If new traces are registered after the pool
-started, the next ``run()`` transparently restarts it with a fresh snapshot.
-
-Fault tolerance
----------------
-A wedged cell, a crashed worker or a mid-run ``KeyboardInterrupt`` must not
-lose a whole sweep.  Four knobs, all construction-time like the others:
-
-* ``REPRO_JOB_TIMEOUT`` / ``timeout=`` — per-job wall-clock deadline; a
-  job attempt that exceeds it is abandoned and its (possibly wedged) worker
-  is killed, letting the pool respawn a fresh one.
-* ``REPRO_JOB_RETRIES`` / ``retries=`` — failed attempts (exception, crash
-  or timeout) are retried up to this many times with seeded exponential
-  backoff + jitter (``REPRO_RETRY_BACKOFF`` base seconds), so the schedule
-  itself is part of the reproducible record.
-* ``REPRO_FAULTS`` / ``faults=`` — deterministic chaos injection (see
-  :mod:`repro.runtime.faults`): same spec + seed ⇒ the same faults hit the
-  same cells, byte-reproducibly, serial or parallel.
-* ``failure_policy=`` (``"strict"`` default, or ``"salvage"``; also
-  ``REPRO_FAILURE_POLICY``) — after retries are exhausted, ``strict``
-  re-raises the original exception (or a
-  :class:`~repro.runtime.faults.JobFailureError`), while ``salvage``
-  returns a picklable :class:`~repro.runtime.faults.JobFailure` sentinel
-  *in the failed cell's slot* so the other 199 cells of a metro sweep
-  survive with an explicit failure record.
-
-Worker crashes are detected by pid liveness (workers announce each attempt
-through a start queue), crashed/expired attempts are resubmitted, and the
-pool's automatic respawn keeps the worker count constant.  Completed cells
-can additionally be journaled for checkpoint/resume — see
-:mod:`repro.runtime.journal`.  ``KeyboardInterrupt`` tears the pool down in
-a ``finally`` path instead of orphaning workers.
+One supervised driver runs every sweep: a finished attempt *commits*
+(result slot, cache, journal), is *retried* after a seeded backoff, or
+*fails* its job once the retry budget is spent.  Serial and pool runs
+differ only in how an attempt is launched: an in-process call, or
+``apply_async`` with each attempt announcing its pid on a start queue so
+the parent can arm deadlines and blame worker deaths.  The pool is used
+with more than one worker and either more than one pending job or a
+deadline to preempt.  A plain run is that driver with zero retries, no
+deadline and the strict policy: a dying worker (say, a job calling
+``os._exit``) fails its job with a ``worker_crash`` record instead of
+hanging the sweep, and a failed job's original exception (or a
+:class:`~repro.runtime.faults.JobFailureError`) is raised only after the
+other cells have finished and been cached.  ``salvage`` leaves a
+:class:`~repro.runtime.faults.JobFailure` in the slot instead.  Cells can be
+journaled for resume (:mod:`repro.runtime.journal`), and
+``KeyboardInterrupt`` tears the pool down instead of orphaning workers.
 """
 
 from __future__ import annotations
@@ -78,64 +32,75 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import queue
 import signal
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs.progress import ProgressTracker, resolve_progress
 from repro.runtime.cache import (CACHE_DIR_ENV, ResultCache, effective_salt,
                                  stable_hash)
-from repro.runtime.faults import (FaultInjector, FaultSpec, JobAttempt,
-                                  JobFailure, JobFailureError, crash_attempt,
-                                  resolve_fault_spec, retry_backoff,
-                                  timeout_attempt)
+from repro.runtime.faults import (FaultInjectionError, FaultInjector,
+                                  FaultSpec, JobAttempt, JobFailure,
+                                  JobFailureError, lost_attempt,
+                                  resolve_fault_spec, retry_backoff)
 from repro.runtime.journal import RunJournal, resolve_journal_dir, run_key_for
 from repro.runtime.trace_store import (TraceRef, install_snapshot,
                                        snapshot_for)
 
-#: Environment variable selecting the worker count (``1`` = serial).
+#: Worker count (``1`` = serial, ``0``/``auto`` = one per CPU).
 JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable selecting the default seed list for multi-seed
-#: sweeps: comma- or space-separated integers (``REPRO_SEEDS="1,2,3"``).
+#: Default seed list for multi-seed sweeps (``REPRO_SEEDS="1,2,3"``).
 SEEDS_ENV = "REPRO_SEEDS"
-
-#: Environment variable: per-job wall-clock timeout in seconds (unset/0 =
-#: no deadline).  Parallel runs enforce it preemptively (the wedged worker
-#: is killed and respawned); serial runs cannot preempt a running job, so
-#: there it only applies to injected hangs.
+#: Per-job wall-clock deadline in seconds (unset/0 = none).  In-process runs
+#: cannot preempt a running job, so there it only applies to injected hangs.
 TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
-
-#: Environment variable: how many times a failed job attempt is retried
-#: (default 0 — fail on the first exhausted attempt, the legacy behavior).
+#: How many times a failed attempt is retried (default 0).
 RETRIES_ENV = "REPRO_JOB_RETRIES"
-
-#: Environment variable: base seconds for the seeded exponential retry
-#: backoff (default 0.05; 0 disables the delay but keeps the retries).
+#: Base seconds of the seeded exponential retry backoff (default 0.05).
 BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-
-#: Environment variable selecting the failure policy: ``strict`` (raise on
-#: the first exhausted job) or ``salvage`` (return JobFailure sentinels
-#: in-slot and keep the rest of the sweep).
+#: ``strict`` (default) or ``salvage``.
 FAILURE_POLICY_ENV = "REPRO_FAILURE_POLICY"
 
-#: Parent-side poll interval while supervising resilient parallel runs.
-_POLL_SECONDS = 0.01
+#: Longest the pool supervisor waits for a result between its checks (each
+#: wake costs parent CPU that the workers would otherwise get).
+_POLL_SECONDS = 0.1
 
 #: How long a dead-pid / expired-deadline attempt stays *condemned* before
-#: it is finalised as a crash/timeout.  A worker writes an attempt's result
-#: to the pool's outqueue pipe *before* it picks up its next task, so it can
-#: die on task N+1 while task N's bytes are still waiting for the parent's
-#: result-handler thread.  Finalising on the first dead-pid sighting would
-#: misread that finished attempt as crashed (dropping its real result and
-#: breaking serial ≡ parallel determinism); the grace window lets any
-#: already-piped result win the race.  A genuinely lost attempt can never
-#: deliver, so the delay costs latency only, never correctness.
+#: it is finalised as a crash/timeout.  A worker pipes task N's result before
+#: taking task N+1, so it can die on N+1 while N's result is still in flight
+#: to the parent; the grace window lets such a result win the race (a truly
+#: lost attempt never delivers, so the wait costs latency, not correctness).
 _LATE_RESULT_GRACE_SECONDS = 1.0
+
+#: The injected fault kind behind each lost-attempt outcome.
+_FAULT_KIND = {"worker_crash": "worker_crash", "timeout": "job_hang"}
+
+
+def _parse(raw: str, convert: Callable[[str], Any], env: str,
+           expected: str) -> Any:
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ValueError(f"{env} must be {expected}, got {raw!r}") from exc
+
+
+def _knob(value: Any, env: str, default: Any, convert: Callable[[Any], Any],
+          expected: str, what: str) -> Any:
+    """A non-negative number from the API arg, else ``env``, else default."""
+    if value is None:
+        value = os.environ.get(env, "")
+    if isinstance(value, str):
+        if not value.strip():
+            return default
+        value = _parse(value.strip(), convert, env, expected)
+    value = convert(value)
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    return value
 
 
 def resolve_worker_count(jobs: Optional[int | str] = None) -> int:
@@ -143,124 +108,56 @@ def resolve_worker_count(jobs: Optional[int | str] = None) -> int:
     value: Any = jobs if jobs is not None else os.environ.get(JOBS_ENV, "1")
     if isinstance(value, str):
         value = value.strip().lower()
-        if value in ("", "auto"):
-            value = 0
-        else:
-            try:
-                value = int(value)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{JOBS_ENV} must be an integer or 'auto', got {value!r}"
-                ) from exc
+        value = 0 if value in ("", "auto") else _parse(
+            value, int, JOBS_ENV, "an integer or 'auto'")
     if value < 0:
         raise ValueError(f"worker count must be >= 0, got {value}")
-    if value == 0:
-        value = os.cpu_count() or 1
-    return value
+    return value or os.cpu_count() or 1
 
 
 def resolve_seeds(seeds: Union[int, Sequence[int], None] = None
                   ) -> Optional[Tuple[int, ...]]:
-    """Resolve a seed list from the API arg or the ``REPRO_SEEDS`` env var.
-
-    The precedence mirrors :func:`resolve_worker_count`: an explicit
-    ``seeds=`` argument (an int or an iterable of ints) wins over
-    ``REPRO_SEEDS`` (comma- or space-separated integers), which wins over the
-    entry point's legacy single-seed default (signalled by returning
-    ``None``).
-    """
-    if seeds is not None:
-        if isinstance(seeds, int):
-            return (seeds,)
-        resolved = tuple(int(s) for s in seeds)
-        if not resolved:
-            raise ValueError("seeds must contain at least one seed")
-        return resolved
-    raw = os.environ.get(SEEDS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        parsed = tuple(int(part) for part in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ValueError(
-            f"{SEEDS_ENV} must be comma- or space-separated integers, "
-            f"got {raw!r}") from exc
-    if not parsed:
-        raise ValueError(f"{SEEDS_ENV} must name at least one seed")
-    return parsed
+    """Seed list from the API arg (an int or ints), else ``REPRO_SEEDS``
+    (comma- or space-separated), else ``None`` (the entry point's legacy
+    single-seed default)."""
+    if isinstance(seeds, int):
+        return (seeds,)
+    if seeds is None:
+        raw = os.environ.get(SEEDS_ENV, "").strip()
+        if not raw:
+            return None
+        seeds = _parse(raw, lambda text: [int(part) for part in text.replace(
+            ",", " ").split()], SEEDS_ENV, "comma- or space-separated integers")
+    resolved = tuple(int(s) for s in seeds)
+    if not resolved:
+        raise ValueError("seeds must contain at least one seed")
+    return resolved
 
 
 def resolve_job_timeout(timeout: Union[int, float, str, None] = None
                         ) -> Optional[float]:
-    """Per-job deadline in seconds from the API arg or ``REPRO_JOB_TIMEOUT``.
-
-    ``None``/unset/``0`` means no deadline.
-    """
-    value: Any = timeout if timeout is not None \
-        else os.environ.get(TIMEOUT_ENV, "")
-    if isinstance(value, str):
-        value = value.strip()
-        if not value:
-            return None
-        try:
-            value = float(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{TIMEOUT_ENV} must be a number of seconds, got "
-                f"{value!r}") from exc
-    value = float(value)
-    if value < 0:
-        raise ValueError(f"job timeout must be >= 0, got {value}")
+    """Per-job deadline in seconds, or ``None`` (unset or 0)."""
+    value = _knob(timeout, TIMEOUT_ENV, 0.0, float, "a number of seconds",
+                  "job timeout")
     return value if value > 0 else None
 
 
 def resolve_job_retries(retries: Union[int, str, None] = None) -> int:
     """Retry budget per job from the API arg or ``REPRO_JOB_RETRIES``."""
-    value: Any = retries if retries is not None \
-        else os.environ.get(RETRIES_ENV, "")
-    if isinstance(value, str):
-        value = value.strip()
-        if not value:
-            return 0
-        try:
-            value = int(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{RETRIES_ENV} must be an integer, got {value!r}") from exc
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"job retries must be >= 0, got {value}")
-    return value
+    return _knob(retries, RETRIES_ENV, 0, int, "an integer", "job retries")
 
 
 def resolve_retry_backoff(backoff: Union[int, float, str, None] = None
                           ) -> float:
     """Backoff base seconds from the API arg or ``REPRO_RETRY_BACKOFF``."""
-    value: Any = backoff if backoff is not None \
-        else os.environ.get(BACKOFF_ENV, "")
-    if isinstance(value, str):
-        value = value.strip()
-        if not value:
-            return 0.05
-        try:
-            value = float(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{BACKOFF_ENV} must be a number of seconds, got "
-                f"{value!r}") from exc
-    value = float(value)
-    if value < 0:
-        raise ValueError(f"retry backoff must be >= 0, got {value}")
-    return value
+    return _knob(backoff, BACKOFF_ENV, 0.05, float, "a number of seconds",
+                 "retry backoff")
 
 
 def resolve_failure_policy(policy: Optional[str] = None) -> str:
     """``strict`` or ``salvage`` from the API arg or the environment."""
-    value = policy if policy is not None \
-        else os.environ.get(FAILURE_POLICY_ENV, "").strip().lower()
-    if not value:
-        return "strict"
-    value = str(value).strip().lower()
+    value = str(os.environ.get(FAILURE_POLICY_ENV, "") if policy is None
+                else policy).strip().lower() or "strict"
     if value not in ("strict", "salvage"):
         raise ValueError(
             f"failure policy must be 'strict' or 'salvage', got {value!r}")
@@ -288,118 +185,72 @@ class SweepJob:
         return self.func(**self.kwargs)
 
 
-def _execute_job(job: SweepJob) -> Any:
-    """Module-level trampoline so pool workers can unpickle it."""
-    return job.run()
+def _timing(label: str, pid: Optional[int], submitted_unix: float,
+            start_unix: float, wall: float, attempt: int,
+            outcome: str) -> Dict[str, Any]:
+    """One ``ExecutorStats.job_records`` entry."""
+    return {"label": label, "pid": pid, "start_unix": start_unix,
+            "wall_seconds": wall,
+            "queue_wait_seconds": max(start_unix - submitted_unix, 0.0),
+            "attempt": attempt, "outcome": outcome}
 
 
-def _execute_job_observed(payload: Tuple[SweepJob, float]
-                          ) -> Tuple[Any, Dict[str, Any], Optional[dict]]:
-    """Worker-side trampoline for observed runs.
-
-    Returns ``(value, meta, metrics_snapshot)``: the job's result, a timing
-    record (worker pid, wall-clock start, wall time, how long the job sat in
-    the pool's queue) and — when ``REPRO_TELEMETRY`` is on — the worker
-    registry's snapshot, which is then **reset** so every job ships exactly
-    its own delta and the parent-side merge is order-independent.
-    """
-    job, submitted_unix = payload
+def _attempt(job: SweepJob, job_key: str, attempt: int,
+             fault_spec: Optional[FaultSpec], submitted_unix: float) -> tuple:
+    """Run one guarded attempt: ``(value, failed attempt, original
+    exception, timing)``; never raises ``Exception``.  In-process and pool
+    launches share it so a captured traceback is byte-identical."""
     start_unix = time.time()
     t0 = time.perf_counter()
-    value = job.run()
-    wall = time.perf_counter() - t0
-    meta = {
-        "label": job.label,
-        "pid": os.getpid(),
-        "start_unix": start_unix,
-        "wall_seconds": wall,
-        "queue_wait_seconds": max(start_unix - submitted_unix, 0.0),
-    }
-    snapshot = None
-    if obs_metrics.enabled():
-        registry = obs_metrics.registry()
-        snapshot = registry.snapshot()
-        registry.reset()
-    return value, meta, snapshot
+    value = failed = original = None
+    try:
+        if fault_spec is not None:
+            FaultInjector(fault_spec).maybe_error(job_key, attempt)
+        value = job.run()
+    except Exception as exc:
+        original = exc
+        failed = JobAttempt(
+            attempt=attempt, outcome="error", error=str(exc),
+            error_type=type(exc).__qualname__,
+            traceback="".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__)),
+            injected=isinstance(exc, FaultInjectionError))
+    return value, failed, original, _timing(
+        job.label, os.getpid(), submitted_unix, start_unix,
+        time.perf_counter() - t0, attempt, "ok" if failed is None else "error")
 
 
-#: Worker-side handle on the executor's start queue (set by the pool
-#: initializer); resilient attempts announce (run id, slot, attempt, pid)
-#: through it so the parent can arm deadlines and attribute worker deaths.
+#: Worker-side handle on the executor's start queue (set by _pool_init).
 _START_QUEUE = None
 
 
-def _pool_init(trace_snapshot: Dict[str, Any], start_queue=None) -> None:
+def _pool_init(trace_snapshot: Dict[str, Any], start_queue) -> None:
     """Pool initializer: prime the trace store and keep the start queue."""
     global _START_QUEUE
     install_snapshot(trace_snapshot)
     _START_QUEUE = start_queue
 
 
-def _attempt_outcome(job: SweepJob, job_key: str, attempt: int,
-                     fault_spec: Optional[FaultSpec]) -> Dict[str, Any]:
-    """Run one guarded attempt body; never raises.
-
-    Shared verbatim by the serial driver and pool workers so an error's
-    captured traceback is byte-identical across execution modes (same
-    frames, same files, same lines).  Injected ``job_error`` faults fire
-    inside the ``try`` for the same reason.
-    """
-    try:
-        if fault_spec is not None:
-            FaultInjector(fault_spec).maybe_error(job_key, attempt)
-        value = job.run()
-    except Exception as exc:
-        from repro.runtime.faults import FaultInjectionError
-        tb = "".join(traceback.format_exception(type(exc), exc,
-                                                exc.__traceback__))
-        return {"ok": False, "outcome": "error",
-                "error_type": type(exc).__qualname__, "error": str(exc),
-                "traceback": tb, "exception": exc,
-                "injected": isinstance(exc, FaultInjectionError)}
-    return {"ok": True, "value": value}
-
-
-def _resilient_attempt(payload: tuple) -> tuple:
-    """Worker-side trampoline for supervised (resilient) attempts.
-
-    Announces itself on the start queue first — the parent arms the job's
-    deadline and learns which pid to blame if this process dies — then fires
-    any injected process faults (crash/hang) and runs the guarded attempt.
-    """
+def _pool_attempt(payload: tuple) -> tuple:
+    """Worker side: announce, fire process faults, run the attempt.  With
+    telemetry on, the worker registry's snapshot rides home and is reset,
+    so each attempt ships exactly its own delta."""
     run_id, slot, attempt, job, job_key, fault_spec, submitted_unix = payload
-    queue = _START_QUEUE
-    if queue is not None:
-        queue.put((run_id, slot, attempt, os.getpid()))
+    _START_QUEUE.put((run_id, slot, attempt, os.getpid()))
     if fault_spec is not None:
         FaultInjector(fault_spec).fire_process_faults(job_key, attempt)
-    start_unix = time.time()
-    t0 = time.perf_counter()
-    outcome = _attempt_outcome(job, job_key, attempt, fault_spec)
-    wall = time.perf_counter() - t0
-    if not outcome["ok"] and outcome.get("exception") is not None:
-        # The original exception rides home for strict-mode re-raising, but
-        # only when it survives pickling — a poison result would kill the
-        # whole drain loop otherwise.
-        try:
-            pickle.dumps(outcome["exception"])
+    value, failed, original, timing = _attempt(job, job_key, attempt,
+                                               fault_spec, submitted_unix)
+    if original is not None:
+        try:  # the original rides home for strict re-raising if it can
+            pickle.dumps(original)
         except Exception:
-            outcome["exception"] = None
-    meta = {
-        "label": job.label,
-        "pid": os.getpid(),
-        "start_unix": start_unix,
-        "wall_seconds": wall,
-        "queue_wait_seconds": max(start_unix - submitted_unix, 0.0),
-        "attempt": attempt,
-        "outcome": "ok" if outcome["ok"] else "error",
-    }
+            original = None
     snapshot = None
     if obs_metrics.enabled():
-        registry = obs_metrics.registry()
-        snapshot = registry.snapshot()
-        registry.reset()
-    return slot, attempt, outcome, meta, snapshot
+        snapshot = obs_metrics.registry().snapshot()
+        obs_metrics.registry().reset()
+    return value, failed, original, timing, snapshot
 
 
 def _needed_trace_keys(jobs: Sequence[SweepJob]) -> set:
@@ -415,90 +266,267 @@ def _needed_trace_keys(jobs: Sequence[SweepJob]) -> set:
     return keys
 
 
+def _cache_counts(cache: Optional[ResultCache]) -> Tuple[int, int, int]:
+    return ((cache.corrupt, cache.evictions, cache.write_errors)
+            if cache is not None else (0, 0, 0))
+
+
 @dataclass
 class ExecutorStats:
     """What the last :meth:`SweepExecutor.run` call actually did."""
 
     total: int = 0
     cache_hits: int = 0
-    #: Cache entries found corrupt during this run's scan — served as misses,
-    #: deleted, then recomputed and rewritten (distinct from ordinary misses).
-    cache_corrupt: int = 0
-    #: Entries evicted by the REPRO_CACHE_MAX_MB size cap while this run's
-    #: results were being stored (mtime-LRU, see repro.runtime.cache).
-    cache_evictions: int = 0
-    #: Cache writes that failed with an OSError (disk full, read-only dir)
-    #: and were degraded to a warning + miss instead of crashing the sweep.
-    cache_write_errors: int = 0
+    cache_corrupt: int = 0  # corrupt entries: served as misses, rewritten
+    cache_evictions: int = 0  # by the REPRO_CACHE_MAX_MB size cap
+    cache_write_errors: int = 0  # failed writes, degraded to a warning
     executed: int = 0
     workers: int = 1
     wall_seconds: float = 0.0
     pool_reused: bool = False
-    #: Attempts re-submitted after an error/crash/timeout (each retry of
-    #: each job counts once).
-    retries: int = 0
-    #: Attempts abandoned at the REPRO_JOB_TIMEOUT deadline (their wedged
-    #: workers are killed and respawned).
-    timeouts: int = 0
-    #: Worker processes that died mid-attempt (injected or real); the pool
-    #: respawns them and the in-flight attempt is resubmitted or failed.
-    worker_crashes: int = 0
-    #: Jobs whose retry budget was exhausted; under the salvage policy each
-    #: occupies its result slot as a JobFailure sentinel.
-    failed_jobs: int = 0
+    retries: int = 0  # attempts retried after an error, crash or timeout
+    timeouts: int = 0  # attempts abandoned at the REPRO_JOB_TIMEOUT deadline
+    worker_crashes: int = 0  # workers that died mid-attempt
+    failed_jobs: int = 0  # jobs whose retry budget was exhausted
     #: Cells served from a resume journal's *private* store (cache-less
     #: runs; journaled cells served by the result cache count as cache_hits).
     journal_hits: int = 0
-    #: JSON-able JobFailure records, in slot order (salvage and strict both
-    #: populate this before any strict-mode raise).
+    #: JSON-able JobFailure records, in slot order (set before any raise).
     failures: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-executed-attempt timing records (label, worker pid, start, wall
-    #: time, queue wait; resilient runs add attempt/outcome) — populated on
-    #: observed and resilient runs; empty otherwise.
+    #: Per-attempt timing records (label, worker pid, start, wall time,
+    #: queue wait, attempt, outcome), in completion order; always populated.
     job_records: List[Dict[str, Any]] = field(default_factory=list)
+
+
+class _Run:
+    """One ``run()`` call's attempt state machine, plus in-process launches:
+    :meth:`settle` commits each finished attempt, schedules a retry after
+    the seeded backoff, or fails the job once its retry budget is spent."""
+
+    def __init__(self, executor: "SweepExecutor", jobs: List[SweepJob],
+                 keys: List[Optional[str]], results: List[Any],
+                 journal: Optional[RunJournal], pending: List[int],
+                 tracker: Optional[ProgressTracker]):
+        self.executor, self.jobs, self.keys = executor, jobs, keys
+        self.results, self.journal, self.tracker = results, journal, tracker
+        self.open = len(pending)
+        #: Attempts to launch: ``(monotonic due time, slot, attempt)``.
+        self.waiting = [(0.0, slot, 1) for slot in pending]
+        self.stats = ExecutorStats()
+        self.history: Dict[int, List[JobAttempt]] = {}
+        self.failures: Dict[int, JobFailure] = {}
+        self.originals: Dict[int, BaseException] = {}
+
+    def key(self, slot: int) -> str:
+        """The job's cache key, hashed on first use if not up front."""
+        if self.keys[slot] is None:
+            self.keys[slot] = self.jobs[slot].cache_key(self.executor.salt)
+        return self.keys[slot]
+
+    def due(self) -> List[Tuple[int, int]]:
+        """Pop the ``(slot, attempt)`` pairs due now, in slot order."""
+        now = time.monotonic()
+        due = sorted((slot, attempt) for at, slot, attempt in self.waiting
+                     if at <= now)
+        if due:
+            self.waiting = [item for item in self.waiting if item[0] > now]
+        return due
+
+    def settle(self, slot: int, value: Any, failed: Optional[JobAttempt],
+               original: Optional[BaseException],
+               timing: Dict[str, Any]) -> None:
+        """Land one finished attempt: commit, retry or fail."""
+        executor, stats = self.executor, self.stats
+        stats.job_records.append(timing)
+        label = self.jobs[slot].label
+        if failed is None:
+            self.results[slot] = value
+            if executor.cache is not None:
+                executor.cache.put(self.keys[slot], value)
+            if self.journal is not None:
+                self.journal.record(self.keys[slot], label, value,
+                                    store_value=self.journal.owns_store)
+            return self._close(label)
+        if original is not None:
+            self.originals[slot] = original
+        if failed.outcome == "worker_crash":
+            stats.worker_crashes += 1
+        elif failed.outcome == "timeout":
+            stats.timeouts += 1
+        history = self.history.setdefault(slot, [])
+        if failed.attempt <= executor.retries:
+            delay = retry_backoff(self.key(slot), failed.attempt,
+                                  executor.backoff, executor.faults.seed
+                                  if executor.faults is not None else 0)
+            history.append(dataclasses.replace(failed, backoff_seconds=delay))
+            stats.retries += 1
+            self.waiting.append((time.monotonic() + delay, slot,
+                                 failed.attempt + 1))
+            return
+        history.append(failed)
+        self.failures[slot] = self.results[slot] = JobFailure(
+            key=self.key(slot), label=label, attempts=tuple(history))
+        self._close(label)
+
+    def _close(self, label: str) -> None:
+        self.open -= 1
+        if self.tracker is not None:
+            self.tracker.job_done(label)
+
+    def launch(self, slot: int, attempt: int) -> None:
+        """In-process launch: call the job here and settle it at once.
+        A running call cannot be preempted, so an injected crash/hang is
+        *synthesized* as the record the pool supervisor would produce on
+        observing the real thing (serial ≡ parallel chaos records)."""
+        executor, job, submitted = self.executor, self.jobs[slot], time.time()
+        injector = executor._injector
+        key = self.key(slot) if injector is not None else ""
+        for outcome, kind in _FAULT_KIND.items():
+            if injector is not None and injector.should(kind, key, attempt):
+                return self.settle(
+                    slot, None, lost_attempt(outcome, attempt,
+                                             executor.timeout, True),
+                    None, _timing(job.label, os.getpid(), submitted,
+                                  submitted, 0.0, attempt, outcome))
+        self.settle(slot, *_attempt(job, key, attempt, executor.faults,
+                                    submitted))
+
+    def wait(self) -> None:
+        """Sleep until the next retry's backoff has elapsed."""
+        if self.waiting:
+            nearest = min(at for at, _, _ in self.waiting)
+            time.sleep(max(nearest - time.monotonic(), 0.0))
+
+
+class _Pooled:
+    """Pool launches: ``apply_async`` per attempt, results via callbacks.
+    Each attempt's start announcement arms its deadline only once it runs
+    and lets a worker death be blamed on it; the pool respawns dead
+    workers, and wedged ones are killed at the deadline."""
+
+    def __init__(self, run: _Run, pool):
+        self.run, self.pool, self.done = run, pool, queue.Queue()
+        self.starts = run.executor._start_queue
+        run.executor._run_counter += 1
+        self.run_id = run.executor._run_counter
+        self.inflight: Dict[int, Dict[str, Any]] = {}
+
+    def launch(self, slot: int, attempt: int) -> None:
+        run, done, faults = self.run, self.done, self.run.executor.faults
+        submitted = time.time()
+        payload = (self.run_id, slot, attempt, run.jobs[slot],
+                   run.key(slot) if faults is not None else "", faults,
+                   submitted)
+        self.inflight[slot] = {
+            "attempt": attempt, "pid": None, "deadline": None,
+            "submitted": submitted, "started": None,
+            "condemned": None,  # (tag, monotonic) once presumed lost
+            "result": self.pool.apply_async(
+                _pool_attempt, (payload,),
+                callback=lambda out: done.put((slot, attempt, out)),
+                error_callback=lambda exc: done.put((slot, attempt, exc))),
+        }
+
+    def wait(self) -> None:
+        """One supervision step: results, announcements, deaths, deadlines."""
+        try:
+            finished = [self.done.get(timeout=_POLL_SECONDS)]
+        except queue.Empty:
+            finished = []
+        while not self.done.empty():
+            finished.append(self.done.get())
+        # Start announcements arm deadlines and map attempt -> pid; those of
+        # an aborted earlier run or a finalised attempt match no state.
+        timeout = self.run.executor.timeout
+        while not self.starts.empty():
+            try:
+                run_id, slot, attempt, pid = self.starts.get()
+            except (EOFError, OSError):
+                break
+            state = self.inflight.get(slot)
+            if (run_id == self.run_id and state is not None
+                    and state["attempt"] == attempt):
+                state["pid"], state["started"] = pid, time.time()
+                if timeout is not None:
+                    state["deadline"] = time.monotonic() + timeout
+        for slot, attempt, out in finished:
+            state = self.inflight.get(slot)
+            if state is None or state["attempt"] != attempt:
+                continue  # late result of an attempt finalised as lost
+            del self.inflight[slot]
+            if isinstance(out, BaseException):
+                # Pool plumbing failure (an unpicklable job or result): an
+                # errored attempt carrying the parent-side exception.
+                out = (None, JobAttempt(attempt=attempt, outcome="error",
+                                        error=str(out),
+                                        error_type=type(out).__qualname__),
+                       out, self._lost_timing(slot, state, "error"), None)
+            value, failed, original, timing, snapshot = out
+            if snapshot is not None:
+                obs_metrics.registry().merge(snapshot)
+            self.run.settle(slot, value, failed, original, timing)
+        self._check_lost()
+
+    def _check_lost(self) -> None:
+        """Condemn attempts whose worker died or whose deadline expired, and
+        finalise them once the grace window has passed with no result (see
+        ``_LATE_RESULT_GRACE_SECONDS``); wedged workers are then killed."""
+        executor = self.run.executor
+        live = self._live_pids()
+        now = time.monotonic()
+        for slot, state in list(self.inflight.items()):
+            if state["result"].ready():
+                continue  # its result is on the done queue
+            if state["condemned"] is None:
+                if state["pid"] is not None and state["pid"] not in live:
+                    state["condemned"] = ("worker_crash", now)
+                elif state["deadline"] is not None and now >= state["deadline"]:
+                    state["condemned"] = ("timeout", now)
+                continue
+            tag, since = state["condemned"]
+            if now - since < _LATE_RESULT_GRACE_SECONDS:
+                continue
+            del self.inflight[slot]
+            attempt, injector = state["attempt"], executor._injector
+            injected = injector is not None and injector.should(
+                _FAULT_KIND[tag], self.run.key(slot), attempt)
+            self.pool._cache.pop(state["result"]._job, None)
+            self.run.settle(
+                slot, None, lost_attempt(tag, attempt, executor.timeout,
+                                         injected),
+                None, self._lost_timing(slot, state, tag))
+            if tag == "timeout" and state["pid"] in self._live_pids():
+                try:
+                    os.kill(state["pid"], signal.SIGKILL)
+                except OSError:
+                    pass
+
+    def _live_pids(self) -> Set[int]:
+        """Pids of live pool workers.  The pool's handler thread deletes dead
+        workers from ``_pool`` meanwhile, and iterating that list could skip
+        a *live* worker and condemn its attempt: iterate an atomic copy."""
+        return {worker.pid for worker in list(self.pool._pool)
+                if worker.exitcode is None and worker.pid is not None}
+
+    def _lost_timing(self, slot: int, state: Dict[str, Any],
+                     tag: str) -> Dict[str, Any]:
+        start = state["started"] or state["submitted"]
+        return _timing(self.run.jobs[slot].label, state["pid"],
+                       state["submitted"], start,
+                       max(time.time() - start, 0.0), state["attempt"], tag)
 
 
 class SweepExecutor:
     """Runs :class:`SweepJob` lists with optional parallelism and caching.
 
-    Parameters
-    ----------
-    jobs:
-        Worker count; ``None`` defers to ``REPRO_JOBS`` (default serial),
-        ``0``/``"auto"`` uses every CPU.
-    cache_dir:
-        Directory for the on-disk result cache.  ``None`` defers to
-        ``REPRO_CACHE_DIR``; when neither is set, caching is disabled.
-    salt:
-        Code-version salt mixed into every cache key (see
-        :mod:`repro.runtime.cache`).
-    progress:
-        Per-cell progress reporting: ``None`` defers to ``REPRO_PROGRESS``
-        (truthy selects the stderr line), ``True`` forces the stderr line,
-        ``False`` forces progress off, and any callable receives a
-        :class:`~repro.obs.progress.SweepProgress` after every completed
-        cell.
-    timeout, retries, backoff:
-        Fault-tolerance knobs; ``None`` defers to ``REPRO_JOB_TIMEOUT`` /
-        ``REPRO_JOB_RETRIES`` / ``REPRO_RETRY_BACKOFF``.
-    faults:
-        Deterministic chaos spec (:class:`~repro.runtime.faults.FaultSpec`,
-        a spec string, or ``False`` to force off); ``None`` defers to
-        ``REPRO_FAULTS``.
-    failure_policy:
-        ``"strict"`` (default: raise after retries are exhausted) or
-        ``"salvage"`` (return JobFailure sentinels in-slot); ``None`` defers
-        to ``REPRO_FAILURE_POLICY``.
-    journal:
-        Checkpoint/resume journal: a directory, ``True`` (use
-        ``REPRO_JOURNAL``/``REPRO_RUN_DIR``), ``False`` (force off), or
-        ``None`` (defer to ``REPRO_JOURNAL``).  See
-        :mod:`repro.runtime.journal`.
-
-    Used as a plain object, every :meth:`run` call manages its own
-    short-lived pool.  Used as a context manager (``with SweepExecutor(...)
-    as ex:``) the pool persists across ``run()`` calls — see
-    :meth:`open`/:meth:`close`.
+    ``jobs`` is the worker count; ``cache_dir`` enables the result cache
+    (``salt`` enters every key); ``progress`` is ``True``/``False`` for the
+    stderr line or a callable receiving a
+    :class:`~repro.obs.progress.SweepProgress` per cell; ``faults`` is a
+    :class:`~repro.runtime.faults.FaultSpec`, a spec string or ``False``;
+    ``journal`` a directory, ``True`` or ``False``.  Arguments left ``None``
+    defer to their ``REPRO_*`` variable.  As a context manager the pool
+    persists across :meth:`run` calls; otherwise each call has its own.
     """
 
     def __init__(self, jobs: Optional[int | str] = None,
@@ -546,22 +574,13 @@ class SweepExecutor:
 
     # ------------------------------------------------------------ pool reuse
     def open(self) -> "SweepExecutor":
-        """Switch to persistent-pool mode.
-
-        The pool itself starts lazily on the first parallel :meth:`run` and
-        then stays warm until :meth:`close`, so repeated sweeps pay the
-        worker spin-up cost once instead of once per sweep.
-        """
+        """Persistent-pool mode: the pool stays warm until :meth:`close`."""
         self._persistent = True
         return self
 
     def close(self) -> None:
         """Shut the persistent pool down (idempotent, safe without one)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-        self._pool_trace_keys = set()
+        self._stop_pool(graceful=True)
 
     def __enter__(self) -> "SweepExecutor":
         return self.open()
@@ -570,43 +589,33 @@ class SweepExecutor:
         self.close()
         self._persistent = False
 
-    def _get_start_queue(self):
-        """The executor-lifetime start queue (survives pool restarts)."""
-        if self._start_queue is None:
-            self._start_queue = multiprocessing.SimpleQueue()
-        return self._start_queue
-
-    def _ensure_pool(self, needed_keys: set) -> multiprocessing.pool.Pool:
-        """The persistent pool, restarted only when it is missing a trace.
-
-        Workers are primed with exactly the traces the submitted jobs
-        reference — never with unrelated registrations from other sweeps, so
-        worker memory stays bounded by one sweep's working set.  A ``run()``
-        whose refs the workers already hold reuses the warm pool; one that
-        needs anything else restarts it (the restart costs ~1 s, the same as
-        a one-shot pool would have paid anyway).
-        """
+    def _ensure_pool(self, needed_keys: set,
+                     processes: int) -> multiprocessing.pool.Pool:
+        """The pool, primed with exactly the traces the jobs reference (so
+        worker memory stays bounded by one sweep's working set) and
+        restarted only when it is missing one."""
         if self._pool is not None and not needed_keys <= self._pool_trace_keys:
-            self.close()
+            self._stop_pool(graceful=True)
         if self._pool is None:
+            if self._start_queue is None:  # lives as long as the executor
+                self._start_queue = multiprocessing.SimpleQueue()
             snapshot = snapshot_for(needed_keys)
             self._pool = multiprocessing.Pool(
-                processes=self.workers, initializer=_pool_init,
-                initargs=(snapshot, self._get_start_queue()))
+                processes=processes, initializer=_pool_init,
+                initargs=(snapshot, self._start_queue))
             self._pool_trace_keys = set(snapshot)
         return self._pool
 
-    def _abort_pool(self) -> None:
-        """Emergency teardown: terminate + join the persistent pool.
-
-        Called when a run is aborted (``KeyboardInterrupt``/``SystemExit``)
-        so no orphaned workers outlive the interrupted sweep; one-shot pools
-        terminate through their own ``with`` blocks.
-        """
+    def _stop_pool(self, graceful: bool = False) -> None:
+        """Close (or terminate: one-shot pools, interrupted runs) and join
+        the pool, so no orphaned workers outlive the sweep."""
         pool, self._pool = self._pool, None
         self._pool_trace_keys = set()
         if pool is not None:
-            pool.terminate()
+            if graceful:
+                pool.close()
+            else:
+                pool.terminate()
             pool.join()
 
     # ------------------------------------------------------------------ run
@@ -614,580 +623,116 @@ class SweepExecutor:
             failure_policy: Optional[str] = None) -> List[Any]:
         """Execute every job, returning results in submission order.
 
-        Cached (or journaled) cells are served without executing; the
-        remainder run either in-process (one worker) or on a
-        ``multiprocessing`` pool.  With telemetry on, a progress reporter
-        active, or ``REPRO_RUN_DIR`` set, the run is *observed*: per-job
-        timing records are collected (and worker metrics merged back)
-        without changing any result — results stay bit-identical either way.
-
-        With a timeout, retries, fault injection or a journal configured the
-        run is *supervised*: attempts are tracked individually, failures are
-        retried with seeded backoff, and exhausted jobs either raise
-        (``strict``) or come back as in-slot
-        :class:`~repro.runtime.faults.JobFailure` sentinels (``salvage``).
-        ``failure_policy`` overrides the executor-level policy for this run.
+        Cached (or journaled) cells are served without executing; the rest
+        go through the one supervised driver (see the module docstring).
+        ``failure_policy`` overrides the executor's policy for this run.
+        Timing records always land in ``last_stats.job_records``; worker
+        metrics merge back only with telemetry on.
         """
         jobs = list(jobs)
         policy = (resolve_failure_policy(failure_policy)
                   if failure_policy is not None else self.failure_policy)
         started = time.perf_counter()
+        cache = self.cache
+        before = _cache_counts(cache)
+        keyed = (cache is not None or self.journal_dir is not None
+                 or self._injector is not None)
+        keys: List[Optional[str]] = [
+            job.cache_key(self.salt) if keyed else None for job in jobs]
         results: List[Any] = [None] * len(jobs)
-        keys: List[Optional[str]] = [None] * len(jobs)
-        resilient = (self._injector is not None or self.timeout is not None
-                     or self.retries > 0 or self.journal_dir is not None
-                     or policy == "salvage")
-        need_keys = self.cache is not None or resilient
-        hits = 0
-        journal_hits = 0
-        corrupt_before = self.cache.corrupt if self.cache is not None else 0
-        evictions_before = self.cache.evictions if self.cache is not None else 0
-        writefail_before = (self.cache.write_errors
-                            if self.cache is not None else 0)
-        if need_keys:
-            for index, job in enumerate(jobs):
-                keys[index] = job.cache_key(self.salt)
         journal: Optional[RunJournal] = None
         if self.journal_dir is not None and jobs:
             journal = RunJournal(self.journal_dir, run_key_for(keys),
-                                 store=self.cache)
+                                 store=cache)
             journal.load()
+        hits = journal_hits = 0
         pending: List[int] = []
         for index, job in enumerate(jobs):
-            if self.cache is not None:
-                hit, value = self.cache.get(keys[index])
-                if hit:
-                    results[index] = value
-                    hits += 1
-                    if journal is not None:
-                        journal.record(keys[index], job.label)
-                    continue
-            if journal is not None and journal.owns_store:
+            hit, value = (cache.get(keys[index]) if cache is not None
+                          else (False, None))
+            if hit:
+                hits += 1
+                if journal is not None:
+                    journal.record(keys[index], job.label)
+            elif journal is not None and journal.owns_store:
                 hit, value = journal.lookup(keys[index])
-                if hit:
-                    results[index] = value
-                    journal_hits += 1
-                    continue
-            pending.append(index)
+                journal_hits += hit
+            if hit:
+                results[index] = value
+            else:
+                pending.append(index)
 
         callback = resolve_progress(self.progress)
-        observing = (callback is not None or obs_metrics.enabled()
-                     or obs_manifest.run_dir() is not None)
         tracker = (ProgressTracker(len(jobs), hits + journal_hits, callback)
                    if callback is not None else None)
-
-        reused = False
-        job_records: List[Dict[str, Any]] = []
-        counts = {"retries": 0, "timeouts": 0, "worker_crashes": 0}
-        failures: Dict[int, JobFailure] = {}
-        failure_excs: Dict[int, BaseException] = {}
-
-        def commit(index: int, value: Any) -> None:
-            """Land one completed cell: result slot, cache, journal."""
-            results[index] = value
-            if self.cache is not None:
-                self.cache.put(keys[index], value)
-            if journal is not None:
-                journal.record(keys[index], jobs[index].label, value,
-                               store_value=journal.owns_store)
-
+        run = _Run(self, jobs, keys, results, journal, pending, tracker)
         try:
             if pending:
-                if resilient:
-                    reused = self._execute_resilient(
-                        pending, jobs, keys, tracker, commit, counts,
-                        failures, failure_excs, job_records, results)
-                elif observing:
-                    outputs, reused, job_records = self._execute_observed(
-                        [jobs[i] for i in pending], tracker)
-                    for index, value in zip(pending, outputs):
-                        commit(index, value)
-                else:
-                    outputs, reused = self._execute([jobs[i] for i in pending])
-                    for index, value in zip(pending, outputs):
-                        commit(index, value)
+                self._drive(run, pending)
         except (KeyboardInterrupt, SystemExit):
-            # Never orphan pool workers on an interrupted sweep: tear the
-            # persistent pool down (one-shot pools terminate via their own
-            # context managers) before letting the interrupt propagate.
-            # Everything committed so far is already cached/journaled, so a
-            # rerun resumes instead of restarting.
-            self._abort_pool()
+            # Everything committed so far is cached/journaled, so a rerun
+            # resumes instead of restarting.
+            self._stop_pool()
             raise
         finally:
+            if not self._persistent:
+                self._stop_pool()
             if journal is not None:
                 journal.close()
 
-        corrupt = ((self.cache.corrupt - corrupt_before)
-                   if self.cache is not None else 0)
-        evictions = ((self.cache.evictions - evictions_before)
-                     if self.cache is not None else 0)
-        write_errors = ((self.cache.write_errors - writefail_before)
-                        if self.cache is not None else 0)
-        self.last_stats = ExecutorStats(
-            total=len(jobs), cache_hits=hits, cache_corrupt=corrupt,
-            cache_evictions=evictions, cache_write_errors=write_errors,
-            executed=len(pending), workers=self.workers,
-            wall_seconds=time.perf_counter() - started,
-            pool_reused=reused,
-            retries=counts["retries"], timeouts=counts["timeouts"],
-            worker_crashes=counts["worker_crashes"],
-            failed_jobs=len(failures), journal_hits=journal_hits,
-            failures=[failures[i].to_jsonable() for i in sorted(failures)],
-            job_records=job_records)
+        stats = self.last_stats = run.stats
+        stats.cache_corrupt, stats.cache_evictions, stats.cache_write_errors \
+            = (a - b for a, b in zip(_cache_counts(cache), before))
+        stats.total, stats.cache_hits, stats.journal_hits = (
+            len(jobs), hits, journal_hits)
+        stats.executed, stats.workers = len(pending), self.workers
+        stats.wall_seconds = time.perf_counter() - started
+        stats.failed_jobs = len(run.failures)
+        stats.failures = [run.failures[i].to_jsonable()
+                          for i in sorted(run.failures)]
         if obs_metrics.enabled():
-            self._publish_run_metrics(job_records, reused)
-        if failures and policy == "strict":
-            first = min(failures)
-            original = failure_excs.get(first)
-            if original is not None:
-                raise original
-            raise JobFailureError(failures[first])
+            self._publish_run_metrics(stats)
+        if run.failures and policy == "strict":
+            first = min(run.failures)
+            raise run.originals.get(first,
+                                    JobFailureError(run.failures[first]))
         return results
 
-    def _publish_run_metrics(self, job_records: List[Dict[str, Any]],
-                             reused: bool) -> None:
+    def _drive(self, run: _Run, pending: List[int]) -> None:
+        """The one execution driver: launch every due attempt, then wait —
+        for results and lost workers on a pool, for the next retry's backoff
+        in-process — until every pending job is committed or failed."""
+        launcher: Union[_Run, _Pooled] = run
+        if self.workers > 1 and (len(pending) > 1 or self.timeout is not None):
+            previous = self._pool
+            pool = self._ensure_pool(
+                _needed_trace_keys([run.jobs[i] for i in pending]),
+                self.workers if self._persistent
+                else min(self.workers, len(pending)))
+            run.stats.pool_reused = pool is previous
+            launcher = _Pooled(run, pool)
+        while run.open:
+            for slot, attempt in run.due():
+                launcher.launch(slot, attempt)
+            if run.open:
+                launcher.wait()
+
+    def _publish_run_metrics(self, stats: ExecutorStats) -> None:
         """Fold the finished run's bookkeeping into the metrics registry."""
         registry = obs_metrics.registry()
         registry.counter("executor.runs").inc()
-        if reused:
+        if stats.pool_reused:
             registry.counter("executor.pool_reuses").inc()
         registry.gauge("executor.workers").set(self.workers)
-        stats = self.last_stats
         for name in ("retries", "timeouts", "worker_crashes", "failed_jobs",
                      "journal_hits", "cache_write_errors"):
-            value = getattr(stats, name)
-            if value:
-                registry.counter(f"executor.{name}").inc(value)
+            if getattr(stats, name):
+                registry.counter(f"executor.{name}").inc(getattr(stats, name))
         wall = registry.timer("executor.job_wall")
         wait = registry.timer("executor.queue_wait")
-        for record in job_records:
+        for record in stats.job_records:
             wall.observe_ns(int(record["wall_seconds"] * 1e9))
             wait.observe_ns(int(record["queue_wait_seconds"] * 1e9))
-
-    def _execute(self, jobs: List[SweepJob]) -> Tuple[List[Any], bool]:
-        """Run jobs; returns ``(results, pool_was_reused)``."""
-        if self.workers <= 1 or len(jobs) <= 1:
-            return [_execute_job(job) for job in jobs], False
-        needed = _needed_trace_keys(jobs)
-        if self._persistent:
-            previous = self._pool
-            pool = self._ensure_pool(needed)
-            return (pool.map(_execute_job, jobs, chunksize=1),
-                    pool is previous)
-        # One-shot pool: ship only the traces these jobs actually reference.
-        processes = min(self.workers, len(jobs))
-        with multiprocessing.Pool(processes=processes,
-                                  initializer=_pool_init,
-                                  initargs=(snapshot_for(needed), None)) as pool:
-            return pool.map(_execute_job, jobs, chunksize=1), False
-
-    def _execute_observed(
-            self, jobs: List[SweepJob], tracker: Optional[ProgressTracker]
-    ) -> Tuple[List[Any], bool, List[Dict[str, Any]]]:
-        """:meth:`_execute` plus per-job records, merge-back and progress.
-
-        Parallel runs stream results through ``imap(chunksize=1)`` — the
-        order-preserving twin of the unobserved path's ``map`` — so each
-        completed cell can update the progress line and merge its worker
-        metrics as it lands instead of at the end of the sweep.
-        """
-        records: List[Dict[str, Any]] = []
-        if self.workers <= 1 or len(jobs) <= 1:
-            # In-process: metrics accumulate directly in this registry (no
-            # snapshot/reset round-trip, which would orphan live handles).
-            outputs = []
-            for job in jobs:
-                start_unix = time.time()
-                t0 = time.perf_counter()
-                outputs.append(_execute_job(job))
-                records.append({
-                    "label": job.label, "pid": os.getpid(),
-                    "start_unix": start_unix,
-                    "wall_seconds": time.perf_counter() - t0,
-                    "queue_wait_seconds": 0.0,
-                })
-                if tracker is not None:
-                    tracker.job_done(job.label)
-            return outputs, False, records
-        payloads = [(job, time.time()) for job in jobs]
-        needed = _needed_trace_keys(jobs)
-        if self._persistent:
-            previous = self._pool
-            pool = self._ensure_pool(needed)
-            outputs = self._drain_observed(pool, payloads, records, tracker)
-            return outputs, pool is previous, records
-        processes = min(self.workers, len(jobs))
-        with multiprocessing.Pool(processes=processes,
-                                  initializer=_pool_init,
-                                  initargs=(snapshot_for(needed), None)) as pool:
-            outputs = self._drain_observed(pool, payloads, records, tracker)
-        return outputs, False, records
-
-    @staticmethod
-    def _drain_observed(pool, payloads, records, tracker) -> List[Any]:
-        """Consume observed worker results in submission order."""
-        registry = obs_metrics.registry()
-        outputs: List[Any] = []
-        for value, meta, snapshot in pool.imap(_execute_job_observed,
-                                               payloads, chunksize=1):
-            outputs.append(value)
-            records.append(meta)
-            if snapshot is not None:
-                registry.merge(snapshot)
-            if tracker is not None:
-                tracker.job_done(meta["label"])
-        return outputs
-
-    # ------------------------------------------------------- resilient paths
-    def _execute_resilient(self, pending: List[int], jobs: List[SweepJob],
-                           keys: List[Optional[str]],
-                           tracker: Optional[ProgressTracker],
-                           commit: Callable[[int, Any], None],
-                           counts: Dict[str, int],
-                           failures: Dict[int, JobFailure],
-                           failure_excs: Dict[int, BaseException],
-                           records: List[Dict[str, Any]],
-                           results: List[Any]) -> bool:
-        """Supervised execution: retries, deadlines, crash detection."""
-        if self.workers <= 1:
-            self._drive_resilient_serial(pending, jobs, keys, tracker, commit,
-                                         counts, failures, failure_excs,
-                                         records, results)
-            return False
-        needed = _needed_trace_keys([jobs[i] for i in pending])
-        queue = self._get_start_queue()
-        if self._persistent:
-            previous = self._pool
-            pool = self._ensure_pool(needed)
-            self._drive_resilient_parallel(pool, pending, jobs, keys, tracker,
-                                           commit, counts, failures,
-                                           failure_excs, records, results)
-            return pool is previous
-        processes = min(self.workers, len(pending))
-        with multiprocessing.Pool(processes=processes,
-                                  initializer=_pool_init,
-                                  initargs=(snapshot_for(needed),
-                                            queue)) as pool:
-            self._drive_resilient_parallel(pool, pending, jobs, keys, tracker,
-                                           commit, counts, failures,
-                                           failure_excs, records, results)
-        return False
-
-    def _fail_job(self, slot: int, attempts: List[JobAttempt],
-                  jobs: List[SweepJob], keys: List[Optional[str]],
-                  failures: Dict[int, JobFailure],
-                  failure_excs: Dict[int, BaseException],
-                  results: List[Any],
-                  tracker: Optional[ProgressTracker],
-                  original: Optional[BaseException]) -> None:
-        """Retire a job whose retry budget ran out: in-slot sentinel."""
-        failure = JobFailure(key=keys[slot] or "", label=jobs[slot].label,
-                             attempts=tuple(attempts))
-        failures[slot] = failure
-        if original is not None:
-            failure_excs[slot] = original
-        results[slot] = failure
-        if tracker is not None:
-            tracker.job_done(jobs[slot].label)
-
-    def _drive_resilient_serial(self, pending, jobs, keys, tracker, commit,
-                                counts, failures, failure_excs, records,
-                                results) -> None:
-        """In-process supervised driver.
-
-        Serial runs cannot preempt a wedged job, so process faults are
-        *synthesized*: an injected crash/hang becomes the same canonical
-        attempt record the parallel driver produces when it observes the
-        real thing — which is exactly what makes serial and parallel chaos
-        runs byte-identical.
-        """
-        injector = self._injector
-        seed = self.faults.seed if self.faults is not None else 0
-        for slot in pending:
-            job, key = jobs[slot], keys[slot]
-            attempts: List[JobAttempt] = []
-            original: Optional[BaseException] = None
-            for attempt in range(1, self.retries + 2):
-                start_unix = time.time()
-                t0 = time.perf_counter()
-                rec: Optional[JobAttempt] = None
-                if injector is not None and injector.should(
-                        "worker_crash", key, attempt):
-                    counts["worker_crashes"] += 1
-                    rec = crash_attempt(attempt, injected=True)
-                    tag = "worker_crash"
-                elif injector is not None and injector.should(
-                        "job_hang", key, attempt):
-                    counts["timeouts"] += 1
-                    rec = timeout_attempt(attempt, self.timeout, injected=True)
-                    tag = "timeout"
-                else:
-                    outcome = _attempt_outcome(job, key, attempt, self.faults)
-                    wall = time.perf_counter() - t0
-                    if outcome["ok"]:
-                        records.append({
-                            "label": job.label, "pid": os.getpid(),
-                            "start_unix": start_unix, "wall_seconds": wall,
-                            "queue_wait_seconds": 0.0, "attempt": attempt,
-                            "outcome": "ok"})
-                        commit(slot, outcome["value"])
-                        if tracker is not None:
-                            tracker.job_done(job.label)
-                        break
-                    rec = JobAttempt(
-                        attempt=attempt, outcome="error",
-                        error=outcome["error"],
-                        error_type=outcome["error_type"],
-                        traceback=outcome["traceback"],
-                        injected=outcome["injected"])
-                    original = outcome.get("exception")
-                    tag = "error"
-                records.append({
-                    "label": job.label, "pid": os.getpid(),
-                    "start_unix": start_unix,
-                    "wall_seconds": time.perf_counter() - t0,
-                    "queue_wait_seconds": 0.0, "attempt": attempt,
-                    "outcome": tag})
-                if attempt <= self.retries:
-                    delay = retry_backoff(key, attempt, self.backoff, seed)
-                    attempts.append(dataclasses.replace(
-                        rec, backoff_seconds=delay))
-                    counts["retries"] += 1
-                    if delay:
-                        time.sleep(delay)
-                else:
-                    attempts.append(rec)
-                    self._fail_job(slot, attempts, jobs, keys, failures,
-                                   failure_excs, results, tracker, original)
-
-    @staticmethod
-    def _live_pids(pool) -> Set[int]:
-        """Pids of pool workers currently alive (respawns change this set)."""
-        try:
-            return {worker.pid for worker in pool._pool
-                    if worker.exitcode is None and worker.pid is not None}
-        except Exception:
-            return set()
-
-    @staticmethod
-    def _forget_async(pool, result) -> None:
-        """Drop an abandoned AsyncResult from the pool's cache (best
-        effort — a crashed/hung attempt's result will never arrive)."""
-        try:
-            pool._cache.pop(result._job, None)
-        except Exception:
-            pass
-
-    def _drive_resilient_parallel(self, pool, pending, jobs, keys, tracker,
-                                  commit, counts, failures, failure_excs,
-                                  records, results) -> None:
-        """Pool-supervisor loop: poll results, pids and deadlines.
-
-        Every attempt announces ``(run id, slot, attempt, pid)`` on the
-        start queue as its first act, which (a) arms the job's wall-clock
-        deadline only once it actually starts running — queue wait never
-        counts against ``REPRO_JOB_TIMEOUT`` — and (b) lets a worker death
-        be attributed to the attempt it was running.  Crashed workers are
-        respawned by the pool's own maintenance thread; wedged ones are
-        killed at the deadline and respawn the same way.  Lost attempts are
-        resubmitted (with seeded backoff) until the retry budget runs out.
-        """
-        injector = self._injector
-        fault_spec = self.faults
-        seed = fault_spec.seed if fault_spec is not None else 0
-        timeout = self.timeout
-        queue = self._get_start_queue()
-        registry = obs_metrics.registry()
-        self._run_counter += 1
-        run_id = self._run_counter
-
-        inflight: Dict[int, Dict[str, Any]] = {}
-        attempts_log: Dict[int, List[JobAttempt]] = {s: [] for s in pending}
-        originals: Dict[int, BaseException] = {}
-        waiting: List[Tuple[float, int, int]] = []  # (due, slot, attempt)
-        remaining = set(pending)
-
-        def submit(slot: int, attempt: int) -> None:
-            submitted_unix = time.time()
-            payload = (run_id, slot, attempt, jobs[slot], keys[slot],
-                       fault_spec, submitted_unix)
-            inflight[slot] = {
-                "result": pool.apply_async(_resilient_attempt, (payload,)),
-                "attempt": attempt,
-                "pid": None,
-                "deadline": None,
-                "submitted_unix": submitted_unix,
-                "started_wall": None,
-                "condemned": None,  # (tag, monotonic) once presumed lost
-                "predicted_crash": (injector.should("worker_crash",
-                                                    keys[slot], attempt)
-                                    if injector is not None else False),
-                "predicted_hang": (injector.should("job_hang", keys[slot],
-                                                   attempt)
-                                   if injector is not None else False),
-            }
-
-        def synth_meta(slot: int, state: Dict[str, Any], tag: str
-                       ) -> Dict[str, Any]:
-            started = state["started_wall"] or state["submitted_unix"]
-            return {"label": jobs[slot].label, "pid": state["pid"],
-                    "start_unix": started,
-                    "wall_seconds": max(time.time() - started, 0.0),
-                    "queue_wait_seconds": max(
-                        started - state["submitted_unix"], 0.0),
-                    "attempt": state["attempt"], "outcome": tag}
-
-        def attempt_failed(slot: int, rec: JobAttempt,
-                           original: Optional[BaseException],
-                           meta: Dict[str, Any]) -> None:
-            inflight.pop(slot, None)
-            records.append(meta)
-            if original is not None:
-                originals[slot] = original
-            if rec.attempt <= self.retries:
-                delay = retry_backoff(keys[slot], rec.attempt, self.backoff,
-                                      seed)
-                attempts_log[slot].append(dataclasses.replace(
-                    rec, backoff_seconds=delay))
-                counts["retries"] += 1
-                waiting.append((time.monotonic() + delay, slot,
-                                rec.attempt + 1))
-            else:
-                attempts_log[slot].append(rec)
-                remaining.discard(slot)
-                self._fail_job(slot, attempts_log[slot], jobs, keys, failures,
-                               failure_excs, results, tracker,
-                               originals.get(slot))
-
-        for slot in pending:
-            submit(slot, 1)
-
-        while remaining:
-            progressed = False
-
-            # 1. Start announcements: arm deadlines, learn attempt→pid.
-            while not queue.empty():
-                try:
-                    msg_run, slot, attempt, pid = queue.get()
-                except (EOFError, OSError):
-                    break
-                progressed = True
-                if msg_run != run_id:
-                    continue  # stale message from an aborted earlier run
-                state = inflight.get(slot)
-                if state is not None and state["attempt"] == attempt:
-                    state["pid"] = pid
-                    state["started_wall"] = time.time()
-                    if timeout is not None:
-                        state["deadline"] = time.monotonic() + timeout
-
-            # 2. Completed attempts.
-            for slot in list(inflight):
-                state = inflight[slot]
-                if not state["result"].ready():
-                    continue
-                progressed = True
-                try:
-                    _, attempt, outcome, meta, snapshot = \
-                        state["result"].get()
-                except Exception as exc:
-                    # Pool plumbing failure (e.g. unpicklable result):
-                    # treated as an errored attempt with the parent-side
-                    # exception text.
-                    rec = JobAttempt(attempt=state["attempt"],
-                                     outcome="error", error=str(exc),
-                                     error_type=type(exc).__qualname__)
-                    attempt_failed(slot, rec, None,
-                                   synth_meta(slot, state, "error"))
-                    continue
-                if snapshot is not None:
-                    registry.merge(snapshot)
-                if outcome["ok"]:
-                    inflight.pop(slot)
-                    remaining.discard(slot)
-                    records.append(meta)
-                    commit(slot, outcome["value"])
-                    if tracker is not None:
-                        tracker.job_done(meta["label"])
-                else:
-                    rec = JobAttempt(
-                        attempt=attempt, outcome="error",
-                        error=outcome["error"],
-                        error_type=outcome["error_type"],
-                        traceback=outcome["traceback"],
-                        injected=outcome["injected"])
-                    attempt_failed(slot, rec, outcome.get("exception"), meta)
-
-            # 3. Worker deaths: condemn the attempt that announced the dead
-            #    pid; the pool respawns the worker on its own.
-            live = self._live_pids(pool)
-            now = time.monotonic()
-            for slot in list(inflight):
-                state = inflight[slot]
-                if (state["pid"] is None or state["pid"] in live
-                        or state["result"].ready()
-                        or state["condemned"] is not None):
-                    continue
-                progressed = True
-                state["condemned"] = ("worker_crash", now)
-
-            # 4. Deadlines: condemn expired attempts.
-            if timeout is not None:
-                for slot in list(inflight):
-                    state = inflight[slot]
-                    if (state["deadline"] is None or now < state["deadline"]
-                            or state["result"].ready()
-                            or state["condemned"] is not None):
-                        continue
-                    progressed = True
-                    state["condemned"] = ("timeout", now)
-
-            # 5. Finalise condemned attempts once the late-result grace
-            #    window has elapsed with no result delivered (step 2 rescues
-            #    any attempt whose result was already in the outqueue pipe
-            #    when its worker died or its deadline expired — see
-            #    _LATE_RESULT_GRACE_SECONDS).  Wedged workers are killed at
-            #    finalisation so the pool can respawn a fresh one.
-            for slot in list(inflight):
-                state = inflight[slot]
-                if state["condemned"] is None or state["result"].ready():
-                    continue
-                tag, since = state["condemned"]
-                if time.monotonic() - since < _LATE_RESULT_GRACE_SECONDS:
-                    continue
-                progressed = True
-                if tag == "worker_crash":
-                    counts["worker_crashes"] += 1
-                    rec = crash_attempt(state["attempt"],
-                                        injected=state["predicted_crash"])
-                else:
-                    counts["timeouts"] += 1
-                    rec = timeout_attempt(state["attempt"], timeout,
-                                          injected=state["predicted_hang"])
-                pid = state["pid"]
-                self._forget_async(pool, state["result"])
-                attempt_failed(slot, rec, None, synth_meta(slot, state, tag))
-                if (tag == "timeout" and pid is not None
-                        and pid in self._live_pids(pool)):
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except OSError:
-                        pass
-
-            # 6. Resubmit retries whose backoff elapsed.
-            if waiting:
-                now = time.monotonic()
-                due = [item for item in waiting if item[0] <= now]
-                if due:
-                    progressed = True
-                    waiting = [item for item in waiting if item[0] > now]
-                    for _, slot, attempt in sorted(due,
-                                                   key=lambda item: item[1]):
-                        submit(slot, attempt)
-
-            if not progressed:
-                time.sleep(_POLL_SECONDS)
 
 
 def get_executor(executor: Optional[SweepExecutor] = None,
@@ -1195,13 +740,8 @@ def get_executor(executor: Optional[SweepExecutor] = None,
                  cache_dir: Optional[os.PathLike | str] = None,
                  journal: Any = None,
                  failure_policy: Optional[str] = None) -> SweepExecutor:
-    """Shared convenience for experiment entry points.
-
-    Returns ``executor`` unchanged when given one, otherwise builds a fresh
-    :class:`SweepExecutor` from the ``jobs``/``cache_dir``/``journal``/
-    ``failure_policy`` knobs (and thus the ``REPRO_JOBS``/``REPRO_CACHE_DIR``
-    /``REPRO_JOURNAL``/``REPRO_FAILURE_POLICY`` environment defaults).
-    """
+    """``executor`` itself when given, else a fresh :class:`SweepExecutor`
+    built from these knobs (and thus their ``REPRO_*`` defaults)."""
     if executor is not None:
         return executor
     return SweepExecutor(jobs=jobs, cache_dir=cache_dir, journal=journal,

@@ -324,18 +324,16 @@ def is_failure(value: Any) -> bool:
     return isinstance(value, JobFailure)
 
 
-def crash_attempt(attempt: int, injected: bool,
-                  backoff_seconds: float = 0.0) -> JobAttempt:
-    """The canonical record for a crashed attempt (serial ≡ parallel)."""
-    return JobAttempt(attempt=attempt, outcome="worker_crash",
-                      error=CRASH_MESSAGE, error_type="WorkerCrash",
-                      injected=injected, backoff_seconds=backoff_seconds)
-
-
-def timeout_attempt(attempt: int, timeout: float, injected: bool,
-                    backoff_seconds: float = 0.0) -> JobAttempt:
-    """The canonical record for a timed-out attempt (serial ≡ parallel)."""
+def lost_attempt(outcome: str, attempt: int, timeout: Optional[float],
+                 injected: bool) -> JobAttempt:
+    """The canonical record of an attempt lost to a ``worker_crash`` or a
+    ``timeout``: the same whether a pool observed it or an in-process run
+    synthesized it, so serial and parallel records match byte for byte."""
+    if outcome == "worker_crash":
+        return JobAttempt(attempt=attempt, outcome=outcome,
+                          error=CRASH_MESSAGE, error_type="WorkerCrash",
+                          injected=injected)
     return JobAttempt(attempt=attempt, outcome="timeout",
                       error=f"job attempt exceeded {timeout!r}s wall-clock "
                             f"timeout", error_type="JobTimeout",
-                      injected=injected, backoff_seconds=backoff_seconds)
+                      injected=injected)

@@ -65,90 +65,6 @@ class WindowedRateEstimator:
         self._first_sample_time = None
 
 
-class BatchedRateEstimator:
-    """Flat-array drop-in for :class:`WindowedRateEstimator`.
-
-    Samples append to parallel flat arrays with **no** per-add expiry work;
-    expiry is deferred to :meth:`rate_bps`, which advances a start index over
-    the (time-sorted) sample arrays and maintains exact integer byte totals.
-    Because all byte accounting is integer arithmetic, the in-window byte
-    count — and therefore the returned rate — is bit-identical to the deque
-    implementation's for any interleaving of ``add``/``rate_bps`` calls
-    (pinned by ``tests/test_batched_ack.py``).
-
-    Used by the ABC router's fast path (``REPRO_BATCH_ACKS=1``), where the
-    enqueue-side estimator is written once per packet but read rarely (only
-    the Fig. 2 enqueue-basis ablation queries it): deferring expiry turns the
-    per-packet cost into two list appends.
-    """
-
-    __slots__ = ("window", "_times", "_sizes", "_total", "_expired",
-                 "_start", "_first_sample_time")
-
-    #: Trim consumed prefixes once the start index passes this many entries,
-    #: keeping memory proportional to the live window.
-    _TRIM_THRESHOLD = 4096
-
-    def __init__(self, window: float = 0.04):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._times: list[float] = []
-        self._sizes: list[int] = []
-        self._total = 0
-        self._expired = 0
-        self._start = 0
-        self._first_sample_time: Optional[float] = None
-
-    def add(self, now: float, size_bytes: int) -> None:
-        """Record ``size_bytes`` observed at time ``now`` (O(1), no expiry)."""
-        if self._first_sample_time is None:
-            self._first_sample_time = now
-        self._times.append(now)
-        self._sizes.append(size_bytes)
-        self._total += size_bytes
-
-    def rate_bps(self, now: float) -> float:
-        """Current rate estimate in bits per second (0.0 with no samples)."""
-        times = self._times
-        start = self._start
-        n = len(times)
-        cutoff = now - self.window
-        if start < n and times[start] < cutoff:
-            sizes = self._sizes
-            expired = self._expired
-            while start < n and times[start] < cutoff:
-                expired += sizes[start]
-                start += 1
-            self._expired = expired
-            if start > self._TRIM_THRESHOLD:
-                del times[:start]
-                del sizes[:start]
-                n -= start
-                start = 0
-            self._start = start
-        first = self._first_sample_time
-        if start >= n or first is None:
-            return 0.0
-        # Branchy spelling of min(window, max(now - first, 0.0)) with the
-        # zero-span fallback folded in — same result, no builtin calls.
-        span = now - first
-        window = self.window
-        if span > window:
-            span = window
-        elif span <= 0.0:
-            span = window
-        return (self._total - self._expired) * 8.0 / span
-
-    def reset(self) -> None:
-        self._times.clear()
-        self._sizes.clear()
-        self._total = 0
-        self._expired = 0
-        self._start = 0
-        self._first_sample_time = None
-
-
 class EWMA:
     """Exponentially weighted moving average with optional initial value."""
 

@@ -12,8 +12,7 @@ trace, and this module pins the equivalence:
 * every scheme in the golden wiring table, end-to-end over a cellular trace;
 * an outage-heavy trace driving retransmissions and RTO expiry;
 * the golden-trace scenario itself (ABC + Cubic sharing one bottleneck);
-* metro cells (trace-driven and square-wave, churn on, mixed schemes);
-* the drop-in :class:`BatchedRateEstimator` against the deque original.
+* metro cells (trace-driven and square-wave, churn on, mixed schemes).
 
 Every comparison is exact equality on full per-packet float lists — no
 tolerances anywhere.
@@ -22,7 +21,6 @@ tolerances anywhere.
 from __future__ import annotations
 
 import dataclasses
-import random
 
 import pytest
 
@@ -33,8 +31,6 @@ from repro.core.router import ABCRouterQdisc
 from repro.experiments.runner import run_single_bottleneck
 from repro.metro.cell import metro_cell
 from repro.simulator import fastpath
-from repro.simulator.estimators import (BatchedRateEstimator,
-                                        WindowedRateEstimator)
 from repro.simulator.scenario import Scenario
 
 from test_scheme_golden import GOLDEN_WIRING
@@ -179,31 +175,3 @@ def test_metro_cell_trace_driven_bit_identical():
 
     classic, batched = both_modes(run)
     assert classic == batched
-
-
-# ---------------------------------------------------------------------------
-# BatchedRateEstimator is a drop-in for WindowedRateEstimator
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batched_rate_estimator_matches_deque(seed):
-    rng = random.Random(f"batched-estimator-{seed}")
-    deque_est = WindowedRateEstimator(window=0.04)
-    flat_est = BatchedRateEstimator(window=0.04)
-    now = 0.0
-    for _ in range(5000):
-        now += rng.expovariate(2000.0)
-        size = rng.randrange(40, 1600)
-        deque_est.add(now, size)
-        flat_est.add(now, size)
-        if rng.random() < 0.3:
-            at = now + rng.random() * 0.01
-            assert deque_est.rate_bps(at) == flat_est.rate_bps(at)
-    assert deque_est.rate_bps(now) == flat_est.rate_bps(now)
-
-
-def test_batched_rate_estimator_trims_consumed_prefix():
-    est = BatchedRateEstimator(window=0.001)
-    for i in range(3 * BatchedRateEstimator._TRIM_THRESHOLD):
-        est.add(i * 0.01, 100)
-        est.rate_bps(i * 0.01)
-    assert len(est._times) <= 2 * BatchedRateEstimator._TRIM_THRESHOLD

@@ -264,7 +264,11 @@ def test_unobserved_run_collects_nothing(monkeypatch):
     executor = SweepExecutor(jobs=1)
     SweepSpec(schemes=["abc"], traces={"12mbps": 12e6},
               duration=1.0).run_cells(executor)
-    assert executor.last_stats.job_records == []
+    # Timing records are always kept (one per executed cell); telemetry
+    # itself stays off.
+    stats = executor.last_stats
+    assert stats.executed == 1
+    assert [r["label"] for r in stats.job_records] == ["abc/12mbps/seed0"]
     assert obs_metrics.registry().snapshot()["counters"] == {}
 
 

@@ -1,12 +1,11 @@
-"""VectorRateEstimator is bit-for-bit a BatchedRateEstimator (and hence a
-WindowedRateEstimator).
+"""VectorRateEstimator is bit-for-bit a WindowedRateEstimator.
 
 The vectorised estimator folds its Python-list sample tail into flat numpy
 arrays with a prefix-sum every ``_FOLD`` appends, expires whole prefixes
 with a ``searchsorted`` instead of a scalar walk, and keeps the router's
 inline append sites unchanged.  Exact equality everywhere: window sums are
 integer byte counts (int64 prefix sums are exact) and the span arithmetic
-is the scalar expression verbatim, so there are **no tolerances** in this
+is the deque estimator's expression, so there are **no tolerances** in this
 file.
 """
 
@@ -19,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cellular.estimators import VectorRateEstimator
-from repro.simulator.estimators import (BatchedRateEstimator,
-                                        WindowedRateEstimator)
+from repro.simulator.estimators import WindowedRateEstimator
 
 
-def _trio(window):
+def _pair(window):
+    """The deque reference and the vectorised estimator under test."""
     return (WindowedRateEstimator(window=window),
-            BatchedRateEstimator(window=window),
             VectorRateEstimator(window=window))
 
 
@@ -34,18 +32,16 @@ def _trio(window):
 @pytest.mark.parametrize("window", [0.04, 0.5])
 def test_vector_matches_deque_and_batched(seed, window):
     rng = random.Random(f"vector-estimator-{seed}-{window}")
-    deque_est, flat_est, vec_est = _trio(window)
+    deque_est, vec_est = _pair(window)
     now = 0.0
     for _ in range(6000):
         now += rng.expovariate(2000.0)
         size = rng.randrange(40, 1600)
-        for est in (deque_est, flat_est, vec_est):
+        for est in (deque_est, vec_est):
             est.add(now, size)
         if rng.random() < 0.3:
             at = now + rng.random() * 0.01
-            rate = deque_est.rate_bps(at)
-            assert flat_est.rate_bps(at) == rate
-            assert vec_est.rate_bps(at) == rate
+            assert vec_est.rate_bps(at) == deque_est.rate_bps(at)
     assert vec_est.rate_bps(now) == deque_est.rate_bps(now)
     assert vec_est.folds > 0, (
         "6000 appends never triggered a fold; the vectorised path went "
@@ -56,7 +52,7 @@ def test_vector_matches_at_ack_burst_cadence():
     """The router's real cadence: bursts of same-timestamp ACK-clocked
     samples, rate read once per measurement interval."""
     rng = random.Random("burst-cadence")
-    deque_est, _flat, vec_est = _trio(0.05)
+    deque_est, vec_est = _pair(0.05)
     now = 0.0
     for _ in range(400):
         now += rng.expovariate(200.0)
@@ -73,7 +69,7 @@ def test_vector_matches_at_ack_burst_cadence():
                 min_size=1, max_size=300),
        st.floats(min_value=1e-3, max_value=5.0))
 def test_vector_matches_on_arbitrary_histories(samples, window):
-    deque_est, _flat, vec_est = _trio(window)
+    deque_est, vec_est = _pair(window)
     last = 0.0
     for t, size in sorted(samples):
         deque_est.add(t, size)
@@ -86,10 +82,10 @@ def test_vector_matches_on_arbitrary_histories(samples, window):
 # ------------------------------------------------------------- fold edges
 def test_fold_boundary_expiry_is_exact():
     """Expiry cutting through the folded region, exactly at a folded sample
-    time, and past the end of the folded region all agree with the scalar
-    walk."""
+    time, and past the end of the folded region all agree with the deque
+    reference."""
     fold = VectorRateEstimator._FOLD
-    deque_est, _flat, vec_est = _trio(1.0)
+    deque_est, vec_est = _pair(1.0)
     for i in range(3 * fold):                         # three folds' worth
         t = i * 0.01
         deque_est.add(t, 100 + i)
@@ -103,7 +99,7 @@ def test_fold_boundary_expiry_is_exact():
 
 
 def test_fully_expired_window_matches():
-    deque_est, _flat, vec_est = _trio(0.1)
+    deque_est, vec_est = _pair(0.1)
     for i in range(2 * VectorRateEstimator._FOLD):
         deque_est.add(i * 0.001, 500)
         vec_est.add(i * 0.001, 500)
@@ -123,7 +119,7 @@ def test_unread_estimator_never_folds():
 
 
 def test_reset_clears_folded_state():
-    deque_est, _flat, vec_est = _trio(0.5)
+    deque_est, vec_est = _pair(0.5)
     for i in range(2 * VectorRateEstimator._FOLD):
         vec_est.add(i * 0.01, 777)
     vec_est.rate_bps(1.0)
